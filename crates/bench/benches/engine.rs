@@ -6,12 +6,11 @@
 //! share one engine, so the gap between the two is exactly the planning
 //! cost the cache amortises; baselines are recorded in `BENCH_engine.json`.
 //!
-//! The `engine_update` group measures the mutation paths of the
+//! The `engine_update` group measures the mutation path of the
 //! append-heavy workload (one single-row insert per iteration at m=4000):
 //! the typed `Engine::apply` delta path (statistics maintained
-//! incrementally, untouched relations shared) against the closure-based
-//! `Engine::update` fallback (touched relations re-analysed from scratch),
-//! each alone and interleaved with a warm query.
+//! incrementally, untouched relations shared), alone and interleaved with
+//! a warm query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pq_bench::matching_database_for_query;
@@ -77,17 +76,6 @@ fn bench_engine_update(c: &mut Criterion) {
             apply_engine
                 .apply(Delta::insert("S1", vec![row.clone()]))
                 .expect("valid delta")
-                .fingerprint()
-        })
-    });
-
-    // The closure fallback: same single-row insert, but the touched
-    // relation's statistics are rebuilt by re-scanning it.
-    let update_engine = Engine::new(db.clone(), 16);
-    group.bench_with_input(BenchmarkId::new("update_recompute", m), &row, |b, row| {
-        b.iter(|| {
-            update_engine
-                .update(|db| db.relation_mut("S1").unwrap().push_row(row))
                 .fingerprint()
         })
     });

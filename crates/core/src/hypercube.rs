@@ -275,11 +275,15 @@ pub fn run_hypercube_with_shares(
     cluster.communicate(messages);
 
     let outputs = map_servers_parallel(cluster.servers(), |_, server| local_join(query, server));
+    // The union needs no dedup: each server's output is duplicate-free
+    // (`evaluate_bound` dedups), and the outputs are disjoint. Every query
+    // variable occurs in some atom, so a server joins an answer only if it
+    // received every atom's tuple of it, i.e. only the one server at grid
+    // coordinates `(h_1(x_1), …, h_k(x_k))` produces that answer.
     let mut output = Relation::empty(pq_relation::Schema::new(query.name(), query.variables()));
     for o in &outputs {
         output.append(o);
     }
-    output.dedup();
 
     HyperCubeRun {
         output,
@@ -406,6 +410,7 @@ mod tests {
         let run = run_hypercube(&q, &db, 27, 11);
         let oracle = evaluate_sequential(&q, &db);
         assert_eq!(run.output.canonicalized(), oracle.canonicalized());
+        assert_eq!(run.output.len(), oracle.len(), "no duplicate answers");
     }
 
     #[test]
@@ -425,6 +430,7 @@ mod tests {
         let run = run_hypercube(&q, &db, 16, 23);
         let oracle = evaluate_sequential(&q, &db);
         assert_eq!(run.output.canonicalized(), oracle.canonicalized());
+        assert_eq!(run.output.len(), oracle.len(), "no duplicate answers");
     }
 
     #[test]

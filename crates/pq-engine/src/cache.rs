@@ -49,7 +49,7 @@ pub struct CacheStats {
     pub per_p: BTreeMap<usize, usize>,
     /// Plans evicted by data changes (cumulative): entries whose query read
     /// a mutated relation, plus stale-fingerprint leftovers swept eagerly
-    /// on every `Engine::apply`/`Engine::update`.
+    /// on every `Engine::apply`.
     pub invalidated: u64,
 }
 

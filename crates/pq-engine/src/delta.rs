@@ -6,9 +6,7 @@
 //! statistics are rebuilt, everything else keeps being shared with the
 //! previous snapshot (see [`pq_relation::DatabaseStatistics::apply_inserts`]),
 //! and plan-cache invalidation is limited to plans that actually read a
-//! touched relation. For arbitrary edits (deletes, schema changes) use the
-//! closure-based [`crate::Engine::update`], which recomputes statistics
-//! for whatever it cannot prove unchanged.
+//! touched relation.
 //!
 //! ```
 //! use pq_engine::{Delta, Engine};

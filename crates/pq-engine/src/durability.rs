@@ -242,22 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn update_escape_hatch_checkpoints_so_edits_survive() {
-        let dir = TempDir::new("update");
-        let opened = open_durable(&dir.0, DurabilityOptions::default(), 4, Some(base())).unwrap();
-        opened.engine.update(|db| {
-            db.relation_mut("E").unwrap().push_row(&[5, 6]);
-        });
-        drop(opened);
-        let reopened = open_durable(&dir.0, DurabilityOptions::default(), 4, None).unwrap();
-        assert_eq!(
-            reopened.engine.snapshot().database().expect_relation("E").len(),
-            2,
-            "the closure edit came back from the forced checkpoint"
-        );
-    }
-
-    #[test]
     fn auto_checkpoint_bounds_replay() {
         let dir = TempDir::new("autockpt");
         let options = DurabilityOptions { checkpoint_every: 4, ..Default::default() };

@@ -16,26 +16,24 @@
 //! against one engine. Mutation is copy-on-write and per relation: the
 //! typed [`Engine::apply`] folds an insert-only [`Delta`] into the next
 //! snapshot in O(delta) (touched relations' buffers and statistics rebuilt,
-//! everything else shared), while the closure-based [`Engine::update`]
-//! remains the recompute fallback for arbitrary edits. Either way the new
-//! snapshot is atomically installed — sessions mid-query keep the `Arc` to
-//! the old snapshot and finish on it — and the plan cache is maintained
-//! per touched relation: plans reading mutated relations are evicted,
-//! every other plan is re-keyed to the new statistics fingerprint and
-//! keeps hitting.
+//! everything else shared). The new snapshot is atomically installed —
+//! sessions mid-query keep the `Arc` to the old snapshot and finish on it —
+//! and the plan cache is maintained per touched relation: plans reading
+//! mutated relations are evicted, every other plan is re-keyed to the new
+//! statistics fingerprint and keeps hitting.
 
 use crate::backend::ExecBackend;
 use crate::cache::{CacheStats, PlanCache, PlanKey};
 use crate::delta::{Delta, DeltaError};
 use crate::executor::RunOutcome;
 use crate::obs::EngineObs;
-use pq_mpc::net::{ClusterConfig, ClusterError};
+use pq_mpc::net::ClusterError;
 use crate::parser::{ParseError, ParsedQuery};
 use crate::planner::{plan_query_on, Plan, PlanError, Strategy};
 use crate::session::Session;
 use crate::snapshot::Snapshot;
 use pq_obs::{MetricsRegistry, Phase, QueryTrace};
-use pq_relation::{Database, DatabaseStatistics, Relation, ValueDictionary};
+use pq_relation::{Database, Relation, ValueDictionary};
 use pq_wal::{Lsn, RelationInserts, Wal, WalRecord};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -269,19 +267,6 @@ impl Engine {
         Engine { shared }
     }
 
-    /// Hand new sessions the distributed backend: plans execute on the
-    /// configured `pqd --worker` processes instead of the in-process
-    /// simulator (sessions can still switch per-session with
-    /// [`Session::set_backend`]). Builder-style: call before the handle is
-    /// cloned.
-    ///
-    /// # Panics
-    /// Panics when the engine handle has already been cloned or has live
-    /// sessions.
-    pub fn with_cluster(self, config: ClusterConfig) -> Self {
-        self.with_backend(ExecBackend::cluster(config))
-    }
-
     /// Select the default [`ExecBackend`] handed to new sessions.
     /// Builder-style: call before the handle is cloned.
     ///
@@ -412,29 +397,22 @@ impl Engine {
         *since += 1;
         let due = attachment.checkpoint_every > 0 && *since >= attachment.checkpoint_every;
         drop(since);
-        if due {
-            if let Err(error) = self.checkpoint_locked(attachment, snapshot) {
-                self.count_checkpoint_error(&error);
-            }
+        if due && self.checkpoint_locked(attachment, snapshot).is_err() {
+            self.shared
+                .obs
+                .registry()
+                .counter(
+                    "pq_wal_checkpoint_errors_total",
+                    &[],
+                    "Checkpoints that failed with an I/O error",
+                )
+                .inc();
         }
-    }
-
-    fn count_checkpoint_error(&self, error: &std::io::Error) {
-        self.shared
-            .obs
-            .registry()
-            .counter(
-                "pq_wal_checkpoint_errors_total",
-                &[],
-                "Checkpoints that failed with an I/O error",
-            )
-            .inc();
-        let _ = error;
     }
 
     /// The current snapshot. The returned `Arc` stays valid (and fully
     /// queryable through [`crate::run_plan`]) even after a writer installs
-    /// a newer snapshot via [`Engine::update`].
+    /// a newer snapshot via [`Engine::apply`].
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.shared
             .snapshot
@@ -474,7 +452,7 @@ impl Engine {
     ///   each, thanks to the flat storage) and extended — untouched
     ///   relations keep sharing their buffers with the previous snapshot;
     /// * statistics are maintained incrementally
-    ///   ([`DatabaseStatistics::apply_inserts`]): degree maps,
+    ///   ([`pq_relation::DatabaseStatistics::apply_inserts`]): degree maps,
     ///   cardinalities, bit sizes and fingerprints of touched relations are
     ///   updated in place of a rebuild, untouched relations' statistics are
     ///   shared untouched;
@@ -485,12 +463,12 @@ impl Engine {
     ///
     /// The delta is validated up front (every relation loaded, every row of
     /// matching arity) — a rejected delta leaves the engine untouched.
-    /// Values are not range-checked against the domain: like
-    /// [`Engine::update`], the snapshot's domain (and with it the
-    /// bits-per-value accounting) is fixed at load time. Readers are never
-    /// blocked; sessions holding the previous snapshot finish on it.
-    /// Concurrent `apply`/`update` calls are serialised, so no mutation is
-    /// lost. An empty delta is a no-op returning the current snapshot.
+    /// Values are not range-checked against the domain: the snapshot's
+    /// domain (and with it the bits-per-value accounting) is fixed at load
+    /// time. Readers are never blocked; sessions holding the previous
+    /// snapshot finish on it. Concurrent `apply` calls are serialised, so
+    /// no mutation is lost. An empty delta is a no-op returning the current
+    /// snapshot.
     ///
     /// On a durable engine ([`Engine::with_wal`]) the delta is appended to
     /// the write-ahead log **before** anything is applied: an append
@@ -581,67 +559,6 @@ impl Engine {
         Ok(next)
     }
 
-    /// Copy-on-write mutation for **arbitrary** edits: clone the current
-    /// database (cheap — relations are shared per [`Arc`] until touched),
-    /// apply `mutate`, analyse the result into a fresh [`Snapshot`] and
-    /// atomically install it. Returns the new snapshot.
-    ///
-    /// This is the recompute fallback behind the typed [`Engine::apply`]
-    /// path: statistics are rebuilt for every relation the closure touched,
-    /// while relations whose shared row buffer is provably unchanged
-    /// (pointer-equal to the previous snapshot's) keep their statistics
-    /// without a re-scan ([`DatabaseStatistics::compute_reusing`]). For
-    /// insert-only changes prefer `apply`, which also skips the rebuild of
-    /// the touched relations themselves.
-    ///
-    /// Readers are never blocked: sessions that already fetched the old
-    /// snapshot finish their queries on it, and the old `Arc` stays alive
-    /// for as long as anyone holds it. The plan cache is maintained per
-    /// changed relation, exactly as for `apply` — plans over unchanged
-    /// relations keep hitting. Concurrent `update` calls are serialised,
-    /// so no mutation is lost.
-    ///
-    /// On a durable engine the closure's edits cannot be logged as a typed
-    /// delta (they are arbitrary), so `update` **forces a full checkpoint**
-    /// after installing the new snapshot — the durable state never lags an
-    /// escape-hatch edit. A failed checkpoint is counted on
-    /// `pq_wal_checkpoint_errors_total` (the in-memory update itself cannot
-    /// fail).
-    pub fn update<F: FnOnce(&mut Database)>(&self, mutate: F) -> Arc<Snapshot> {
-        let _serialised = lock_unpoisoned(&self.shared.update_lock);
-        // `prev` must outlive `mutate`: it pins every shared relation's
-        // refcount above 1, so the closure can only mutate via
-        // `Arc::make_mut` copies and pointer equality implies "unchanged".
-        let prev = self.snapshot();
-        let mut database = prev.database().clone();
-        mutate(&mut database);
-        let statistics =
-            DatabaseStatistics::compute_reusing(&database, prev.database(), prev.statistics());
-        let touched = changed_relations(prev.statistics(), &statistics);
-        let next = Arc::new(Snapshot::from_parts(database, statistics));
-        let evicted = lock_unpoisoned(&self.shared.cache).on_snapshot_change(
-            prev.fingerprint(),
-            next.fingerprint(),
-            &touched,
-        );
-        *self
-            .shared
-            .snapshot
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = next.clone();
-        let obs = &self.shared.obs;
-        if obs.enabled() {
-            obs.snapshot_updates.inc();
-            obs.cache_invalidated.add(evicted as u64);
-        }
-        if let Some(attachment) = &self.shared.wal {
-            if let Err(error) = self.checkpoint_locked(attachment, &next) {
-                self.count_checkpoint_error(&error);
-            }
-        }
-        next
-    }
-
     /// Plan-cache counters and occupancy (including per-`p` entry counts).
     pub fn cache_stats(&self) -> CacheStats {
         lock_unpoisoned(&self.shared.cache).stats()
@@ -660,25 +577,16 @@ impl Engine {
     }
 
     /// Plan `parsed` against `snapshot` for `p` servers, consulting the
-    /// shared cache. Returns the plan and whether it was a cache hit.
+    /// shared cache. Returns the plan and whether it was a cache hit, and
+    /// moves the engine's cumulative cache hit/miss counters. With a
+    /// `trace`, the cache probe and (on a miss) the planning work are
+    /// recorded on it as separate phases.
     ///
     /// The cache lock is held only for the lookup and the insert, never
     /// while planning — two sessions missing on the same key concurrently
     /// will both plan (identical plans; one insert wins), which keeps the
     /// planner's LP solves out of every other session's critical path.
     pub(crate) fn plan_parsed(
-        &self,
-        snapshot: &Snapshot,
-        parsed: &ParsedQuery,
-        p: usize,
-    ) -> Result<(Plan, bool), EngineError> {
-        self.plan_parsed_traced(snapshot, parsed, p, None)
-    }
-
-    /// [`Engine::plan_parsed`] with lifecycle spans: the cache probe and
-    /// (on a miss) the planning work are recorded as separate phases on
-    /// `trace`, and the engine's cumulative cache hit/miss counters move.
-    pub(crate) fn plan_parsed_traced(
         &self,
         snapshot: &Snapshot,
         parsed: &ParsedQuery,
@@ -721,31 +629,6 @@ impl Engine {
     pub(crate) fn obs(&self) -> &EngineObs {
         &self.shared.obs
     }
-}
-
-/// Relations whose planner-relevant statistics differ between two
-/// catalogues (changed, added or removed) — the "touched" set handed to
-/// [`PlanCache::on_snapshot_change`] by the recompute path, where no typed
-/// delta says what moved.
-fn changed_relations(
-    previous: &DatabaseStatistics,
-    next: &DatabaseStatistics,
-) -> BTreeSet<String> {
-    let mut touched = BTreeSet::new();
-    for (name, stats) in &next.relations {
-        match previous.relations.get(name) {
-            Some(old) if old.fingerprint() == stats.fingerprint() => {}
-            _ => {
-                touched.insert(name.clone());
-            }
-        }
-    }
-    for name in previous.relations.keys() {
-        if !next.relations.contains_key(name) {
-            touched.insert(name.clone());
-        }
-    }
-    touched
 }
 
 /// Re-point a cached plan at the user's current query. Signatures are
@@ -809,7 +692,7 @@ pub(crate) fn adapt_cached_plan(mut plan: Plan, parsed: ParsedQuery) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_relation::{Relation, Schema, Tuple};
+    use pq_relation::{Relation, Schema};
 
     fn engine() -> Engine {
         let mut db = Database::new(1 << 10);
@@ -909,9 +792,7 @@ mod tests {
         let session = e.session();
         session.run("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
         let before = e.snapshot();
-        let after = e.update(|db| {
-            db.relation_mut("R").unwrap().push(Tuple::from([900, 901]));
-        });
+        let after = e.apply(Delta::insert("R", vec![vec![900, 901]])).unwrap();
         // Copy-on-write: the old snapshot is untouched and still readable.
         assert_eq!(before.database().expect_relation("R").len(), 50);
         assert_eq!(after.database().expect_relation("R").len(), 51);
@@ -981,18 +862,16 @@ mod tests {
     }
 
     #[test]
-    fn update_keeps_plans_over_unchanged_relations_hot() {
+    fn update_keeps_plans_over_untouched_relations_hot() {
         let e = chain_engine();
         let session = e.session();
         let q_rs = "Q(x, y, z) :- R(x, y), S(y, z)";
         let q_st = "Q(x, y, z) :- S(x, y), T(y, z)";
         session.run(q_rs).unwrap();
         session.run(q_st).unwrap();
-        // The recompute fallback diffs per-relation fingerprints, so it
-        // reaches the same per-relation invalidation as `apply`.
-        e.update(|db| {
-            db.relation_mut("R").unwrap().push(Tuple::from([900, 901]));
-        });
+        // A delta into R leaves the S-T plan's relations untouched: it is
+        // re-keyed, only the R-S plan is evicted.
+        e.apply(Delta::insert("R", vec![vec![900, 901]])).unwrap();
         assert!(session.run(q_st).unwrap().cache_hit);
         assert!(!session.run(q_rs).unwrap().cache_hit);
         assert_eq!(e.cache_stats().invalidated, 1);

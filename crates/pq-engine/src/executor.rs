@@ -1,11 +1,18 @@
 //! The executor: turn a [`Plan`] into an answer.
 //!
-//! Every strategy bottoms out in the MPC simulator, whose per-server local
-//! computation phases run on real OS threads through
-//! [`pq_mpc::map_servers_parallel`] — the executor inherits the paper's
-//! communication accounting ([`RunMetrics`]) for free and adds wall-clock
-//! timing. Answers are returned with columns in the user's head order,
-//! whatever variable order the underlying algorithm produced.
+//! [`run_plan_on`] is the one entry point, for both backends. On the
+//! simulator ([`run_plan`]) every strategy bottoms out in the MPC
+//! simulator, whose per-server local computation phases run on the
+//! installed executor pool through [`pq_mpc::map_servers_parallel`] — the
+//! executor inherits the paper's communication accounting ([`RunMetrics`])
+//! for free and adds wall-clock timing. On a worker cluster every plan runs
+//! as one HyperCube round over real sockets. Answers are returned with
+//! columns in the user's head order, whatever variable order the
+//! underlying algorithm produced.
+//!
+//! Answers are never deduplicated here: every strategy already returns a
+//! duplicate-free relation over all query variables, and queries are full,
+//! so projecting onto the head only reorders columns.
 
 use crate::backend::{ExecBackend, FallbackPolicy};
 use crate::planner::{Plan, Strategy};
@@ -72,10 +79,8 @@ pub fn run_plan(plan: &Plan, snapshot: &Snapshot, seed: u64) -> RunOutcome {
             (run.output, run.metrics)
         }
     };
-    let mut output = raw.project(&plan.parsed.head, query.name());
-    output.dedup();
     RunOutcome {
-        output,
+        output: raw.project(&plan.parsed.head, query.name()),
         metrics,
         wall: start.elapsed(),
     }
@@ -92,7 +97,15 @@ pub fn run_plan(plan: &Plan, snapshot: &Snapshot, seed: u64) -> RunOutcome {
 /// conjunctive query. Skew-aware and multi-round refinements remain
 /// simulator-side specialisations for now — on the wire they fall back to
 /// plain HyperCube shares, still row-for-row the same answers, possibly
-/// with a higher measured load on skewed data.
+/// with a higher measured load on skewed data. When the cluster fails past
+/// its retry budget under [`FallbackPolicy::Simulator`], the run is served
+/// by [`run_plan`] and marked degraded.
+///
+/// With a `registry`, cluster rounds are recorded into it (round counts,
+/// per-round wall-time histogram, per-worker wire-byte counters — see
+/// [`pq_mpc::net::Coordinator::set_registry`]) and degraded runs are
+/// counted. The simulator path records nothing here; the engine layers
+/// account it from the returned [`RunOutcome`].
 ///
 /// # Errors
 /// A [`ClusterError`] naming the failing worker.
@@ -100,27 +113,6 @@ pub fn run_plan(plan: &Plan, snapshot: &Snapshot, seed: u64) -> RunOutcome {
 /// # Panics
 /// As [`run_plan`], when the snapshot no longer matches the plan.
 pub fn run_plan_on(
-    plan: &Plan,
-    snapshot: &Snapshot,
-    seed: u64,
-    backend: &ExecBackend,
-) -> Result<RunOutcome, ClusterError> {
-    run_plan_on_observed(plan, snapshot, seed, backend, None)
-}
-
-/// [`run_plan_on`] with cluster rounds additionally recorded into
-/// `registry` (round counts, per-round wall-time histogram, per-worker
-/// wire-byte counters — see [`pq_mpc::net::Coordinator::set_registry`]).
-/// The simulator
-/// path records nothing here; the engine layers account it from the
-/// returned [`RunOutcome`].
-///
-/// # Errors
-/// As [`run_plan_on`].
-///
-/// # Panics
-/// As [`run_plan`], when the snapshot no longer matches the plan.
-pub fn run_plan_on_observed(
     plan: &Plan,
     snapshot: &Snapshot,
     seed: u64,
@@ -198,10 +190,8 @@ fn run_plan_cluster(
         &|| router.route_bound(&bound),
         registry,
     )?;
-    let mut output = raw.project(&plan.parsed.head, query.name());
-    output.dedup();
     Ok(RunOutcome {
-        output,
+        output: raw.project(&plan.parsed.head, query.name()),
         metrics,
         wall: start.elapsed(),
     })
@@ -253,11 +243,17 @@ mod tests {
         gen.matching_database(&specs)
     }
 
-    fn oracle(plan: &Plan, db: &Database) -> Relation {
-        let mut o = evaluate_sequential(&plan.parsed.query, db)
+    /// `output` equals the sequential oracle, with no duplicate rows
+    /// (`canonicalized()` would hide them from the comparison).
+    fn assert_matches_oracle(output: &Relation, plan: &Plan, db: &Database) {
+        assert_eq!(
+            output.len(),
+            output.canonicalized().len(),
+            "duplicate answer rows"
+        );
+        let oracle = evaluate_sequential(&plan.parsed.query, db)
             .project(&plan.parsed.head, plan.parsed.query.name());
-        o.dedup();
-        o.canonicalized()
+        assert_eq!(output.canonicalized(), oracle.canonicalized());
     }
 
     #[test]
@@ -268,7 +264,7 @@ mod tests {
         let plan = plan_query(&parsed, &db, 16).unwrap();
         let run = run_plan(&plan, &Snapshot::new(db.clone()), 3);
         assert_eq!(run.output.schema().attributes(), &["z", "x", "y"]);
-        assert_eq!(run.output.canonicalized(), oracle(&plan, &db));
+        assert_matches_oracle(&run.output, &plan, &db);
         assert_eq!(run.metrics.num_rounds(), 1);
     }
 
@@ -287,7 +283,7 @@ mod tests {
             plan.strategy.name()
         );
         let run = run_plan(&plan, &Snapshot::new(db.clone()), 11);
-        assert_eq!(run.output.canonicalized(), oracle(&plan, &db));
+        assert_matches_oracle(&run.output, &plan, &db);
         assert_eq!(run.metrics.num_rounds(), 1);
     }
 
@@ -302,7 +298,7 @@ mod tests {
         let plan = plan_query(&parsed, &db, 16).unwrap();
         assert!(matches!(plan.strategy, Strategy::SkewAwareStar { .. }));
         let run = run_plan(&plan, &Snapshot::new(db.clone()), 17);
-        assert_eq!(run.output.canonicalized(), oracle(&plan, &db));
+        assert_matches_oracle(&run.output, &plan, &db);
     }
 
     #[test]
@@ -312,7 +308,7 @@ mod tests {
         let plan = plan_query(&parsed, &db, 64).unwrap();
         assert!(matches!(plan.strategy, Strategy::MultiRound { .. }));
         let run = run_plan(&plan, &Snapshot::new(db.clone()), 23);
-        assert_eq!(run.output.canonicalized(), oracle(&plan, &db));
+        assert_matches_oracle(&run.output, &plan, &db);
         assert_eq!(run.metrics.num_rounds(), 2);
     }
 
@@ -329,7 +325,8 @@ mod tests {
         let backend = ExecBackend::cluster(pq_mpc::net::ClusterConfig::new(
             workers.addresses().to_vec(),
         ));
-        let run = run_plan_on(&plan, &snapshot, 3, &backend).unwrap();
+        let run = run_plan_on(&plan, &snapshot, 3, &backend, None).unwrap();
+        assert_eq!(run.output.len(), sim.output.len(), "no duplicate rows");
         assert_eq!(run.output.canonicalized(), sim.output.canonicalized());
         // Same router, same seed: the model account is bit-identical to the
         // simulator's, while the wire account is real and nonzero.
@@ -363,13 +360,13 @@ mod tests {
 
         // Default policy: the failure surfaces.
         let strict = ExecBackend::cluster(config.clone());
-        assert!(run_plan_on(&plan, &snapshot, 3, &strict).is_err());
+        assert!(run_plan_on(&plan, &snapshot, 3, &strict, None).is_err());
 
         // Fallback policy: the run succeeds on the simulator, marked
         // degraded, answers identical to a plain simulator run.
         let graceful =
             ExecBackend::cluster_with_fallback(config, crate::backend::FallbackPolicy::Simulator);
-        let run = run_plan_on(&plan, &snapshot, 3, &graceful).unwrap();
+        let run = run_plan_on(&plan, &snapshot, 3, &graceful, None).unwrap();
         assert!(run.metrics.degraded);
         assert!(!run.metrics.is_measured(), "the fallback has no wire");
         let sim = run_plan(&plan, &snapshot, 3);

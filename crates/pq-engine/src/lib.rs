@@ -32,15 +32,16 @@
 //!   recovers a WAL directory (checkpoint + log replay), attaches the
 //!   reopened log so every applied [`Delta`] is logged before it lands,
 //!   and arms the auto-checkpointer (`pqd --data-dir` is this);
-//! * [`executor`] — runs the chosen plan's rounds on the MPC simulator
-//!   against a `&Snapshot`, with per-server local joins fanned out over
-//!   real OS threads via [`pq_mpc::map_servers_parallel`];
+//! * [`executor`] — runs the chosen plan against a `&Snapshot` through one
+//!   entry point, [`run_plan_on`]: on the MPC simulator (per-server local
+//!   joins fanned out over the engine's persistent executor pool) or on a
+//!   cluster of `pqd --worker` processes;
 //! * [`engine`] / [`session`] / [`prepared`] — the concurrent façade:
 //!   [`Engine`] is a cheap, cloneable handle over the shared snapshot and
 //!   plan cache; [`Session`] carries per-client state (budget `p`, seed)
 //!   and exposes `plan`/`explain`/`run` as `&self`; [`PreparedQuery`] is a
 //!   parse-once/plan-once handle that survives copy-on-write
-//!   [`Engine::update`] snapshot swaps by re-planning lazily.
+//!   [`Engine::apply`] snapshot swaps by re-planning lazily.
 //!
 //! Two binaries expose the stack: `pqsh`, the interactive shell / one-shot
 //! CLI, and `pqd`, a line-protocol TCP server that opens one [`Session`]
@@ -67,7 +68,7 @@ pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use delta::{Delta, DeltaError};
 pub use durability::{open_durable, DurabilityOptions, DurableOpen};
 pub use engine::{Engine, EngineError, EngineRun};
-pub use executor::{run_plan, run_plan_on, run_plan_on_observed, RunOutcome};
+pub use executor::{run_plan, run_plan_on, RunOutcome};
 pub use pq_mpc::net::{ClusterConfig, ClusterError, RetryPolicy, WorkerPool};
 pub use pq_obs::{MetricsRegistry, Phase, QueryTrace};
 pub use parser::{parse_query, ParseError, ParsedQuery, Span};

@@ -144,7 +144,7 @@ impl EngineObs {
             snapshot_updates: registry.counter(
                 "pq_snapshot_updates_total",
                 &[],
-                "Copy-on-write snapshot installs (apply + update)",
+                "Copy-on-write snapshot installs",
             ),
             registry,
         }

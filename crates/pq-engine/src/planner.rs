@@ -44,6 +44,13 @@ use std::fmt;
 /// overhead and estimator error.
 const MULTIROUND_ADVANTAGE: f64 = 2.0;
 
+/// The largest server budget the planner accepts. Execution allocates
+/// per-server state for all `p` servers, so an unbounded `p` (one client's
+/// `SERVERS` line) would abort the process on allocation instead of
+/// failing one query. 65 536 is the largest `p` the repository feeds the
+/// share LP (the `table2` experiment).
+pub const MAX_SERVERS: usize = 1 << 16;
+
 /// How the executor will evaluate the query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Strategy {
@@ -239,6 +246,11 @@ pub enum PlanError {
         /// The offending budget.
         p: usize,
     },
+    /// The budget exceeds [`MAX_SERVERS`].
+    TooManyServers {
+        /// The offending budget.
+        p: usize,
+    },
     /// A relation named by the query is not loaded.
     MissingRelation {
         /// The missing relation.
@@ -262,6 +274,12 @@ impl fmt::Display for PlanError {
         match self {
             PlanError::TooFewServers { p } => {
                 write!(f, "cannot plan for p = {p} servers; need at least 2")
+            }
+            PlanError::TooManyServers { p } => {
+                write!(
+                    f,
+                    "cannot plan for p = {p} servers; at most {MAX_SERVERS} are supported"
+                )
             }
             PlanError::MissingRelation {
                 relation,
@@ -319,6 +337,9 @@ fn plan_with_statistics(
     let fingerprint = statistics.fingerprint;
     if p < 2 {
         return Err(PlanError::TooFewServers { p });
+    }
+    if p > MAX_SERVERS {
+        return Err(PlanError::TooManyServers { p });
     }
     let query = &parsed.query;
     for atom in query.atoms() {
@@ -991,6 +1012,22 @@ mod tests {
 
         let err = plan_query(&parsed, &db, 1).expect_err("p too small");
         assert!(err.to_string().contains("at least 2"), "{err}");
+    }
+
+    #[test]
+    fn server_budget_above_the_cap_is_a_typed_error() {
+        let parsed = parse_query("Q(x, y) :- R(x, y)").unwrap();
+        let mut db = Database::new(16);
+        db.insert(Relation::from_rows(
+            Schema::from_strs("R", &["a", "b"]),
+            vec![vec![1, 2]],
+        ));
+        assert!(plan_query(&parsed, &db, MAX_SERVERS).is_ok());
+        for p in [MAX_SERVERS + 1, 1_000_000_000_000] {
+            let err = plan_query(&parsed, &db, p).expect_err("p too large");
+            assert_eq!(err, PlanError::TooManyServers { p });
+            assert!(err.to_string().contains("at most 65536"), "{err}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! prepare/execute split: the query text is parsed exactly once, the plan
 //! is memoized inside the handle, and every [`PreparedQuery::run`] skips
 //! the parser *and* the shared cache lock as long as the engine's snapshot
-//! is unchanged. When a writer installs new data via `Engine::update`, the
+//! is unchanged. When a writer installs new data via `Engine::apply`, the
 //! next `run` notices the fingerprint mismatch and re-plans — through the
 //! shared plan cache, so sibling prepared queries (or sessions) with the
 //! same rename-invariant signature pay for the new plan only once between
@@ -13,12 +13,10 @@
 
 use crate::backend::ExecBackend;
 use crate::engine::{lock_unpoisoned, Engine, EngineError, EngineRun};
-use crate::executor::run_plan_on_observed;
-use crate::obs::EngineObs;
 use crate::parser::{parse_query, ParsedQuery};
 use crate::planner::Plan;
-use crate::session::{stamp_rounds, Session};
-use pq_obs::{Phase, QueryTrace};
+use crate::session::{traced_run, Session};
+use pq_obs::Phase;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -41,7 +39,7 @@ impl PreparedQuery {
         let parsed = parse_query(text)?;
         let engine = session.engine().clone();
         let snapshot = engine.snapshot();
-        let (plan, _) = engine.plan_parsed(&snapshot, &parsed, session.servers())?;
+        let (plan, _) = engine.plan_parsed(&snapshot, &parsed, session.servers(), None)?;
         Ok(PreparedQuery {
             engine,
             parsed,
@@ -77,71 +75,37 @@ impl PreparedQuery {
     /// Execute against the current snapshot. Reuses the memoized plan when
     /// the snapshot is unchanged (`cache_hit` is then true); otherwise
     /// re-plans through the shared plan cache and memoizes the result. The
-    /// handle keeps working across any number of `Engine::update` calls.
+    /// handle keeps working across any number of `Engine::apply` calls.
     ///
     /// Like [`Session::run`], the run lands in the engine's cumulative
     /// metrics; the memo check is recorded as the cache-lookup phase
     /// (steady-state runs never touch the shared cache, so its counters
     /// only move on re-plans).
     pub fn run(&self) -> Result<EngineRun, EngineError> {
-        let mut trace = QueryTrace::start();
-        trace.backend = Some(self.backend.describe());
-        let result = self.run_inner(&mut trace);
-        match result {
-            Ok(run) => {
-                EngineObs::stamp_run(&mut trace, &run);
-                stamp_rounds(&mut trace, &run);
-                trace.finish();
-                self.engine.obs().record_trace(&trace, true);
-                Ok(run)
+        traced_run(&self.engine, &self.backend, self.seed, |snapshot, trace| {
+            let lookup_start = Instant::now();
+            let memoized = {
+                let memo = lock_unpoisoned(&self.plan);
+                (memo.fingerprint == snapshot.fingerprint()).then(|| memo.clone())
+            };
+            trace.record(Phase::CacheLookup, lookup_start.elapsed());
+            if let Some(plan) = memoized {
+                return Ok((plan, true));
             }
-            Err(error) => {
-                trace.finish();
-                self.engine.obs().record_trace(&trace, false);
-                Err(error)
-            }
-        }
-    }
-
-    fn run_inner(&self, trace: &mut QueryTrace) -> Result<EngineRun, EngineError> {
-        let snapshot = self.engine.snapshot();
-        let lookup_start = Instant::now();
-        let memoized = {
-            let memo = lock_unpoisoned(&self.plan);
-            (memo.fingerprint == snapshot.fingerprint()).then(|| memo.clone())
-        };
-        trace.record(Phase::CacheLookup, lookup_start.elapsed());
-        let (plan, cache_hit) = match memoized {
-            Some(plan) => (plan, true),
-            None => {
-                let (fresh, hit) =
-                    self.engine
-                        .plan_parsed_traced(&snapshot, &self.parsed, self.p, Some(trace))?;
-                *lock_unpoisoned(&self.plan) = fresh.clone();
-                (fresh, hit)
-            }
-        };
-        let registry = self.engine.metrics();
-        let observe_cluster = registry.is_enabled().then_some(&registry);
-        let pool = self.engine.pool();
-        trace.parallelism = Some(pool.threads() as u64);
-        let outcome = trace.time(Phase::Execute, || {
-            pool.install(|| {
-                run_plan_on_observed(&plan, &snapshot, self.seed, &self.backend, observe_cluster)
-            })
-        })?;
-        Ok(EngineRun {
-            plan,
-            cache_hit,
-            outcome,
+            let (fresh, hit) =
+                self.engine
+                    .plan_parsed(snapshot, &self.parsed, self.p, Some(trace))?;
+            *lock_unpoisoned(&self.plan) = fresh.clone();
+            Ok((fresh, hit))
         })
+        .map(|(run, _)| run)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_relation::{Database, Relation, Schema, Tuple};
+    use pq_relation::{Database, Relation, Schema};
 
     fn engine() -> Engine {
         let mut db = Database::new(1 << 10);
@@ -181,10 +145,10 @@ mod tests {
         let prepared = e.session().prepare("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
         assert_eq!(prepared.run().unwrap().outcome.output.len(), 30);
         let old_fingerprint = prepared.plan().fingerprint;
-        e.update(|db| {
-            db.relation_mut("R").unwrap().push(Tuple::from([100, 200]));
-            db.relation_mut("S").unwrap().push(Tuple::from([200, 300]));
-        });
+        e.apply(
+            crate::Delta::insert("R", vec![vec![100, 200]]).and_insert("S", vec![vec![200, 300]]),
+        )
+        .unwrap();
         let run = prepared.run().unwrap();
         assert_eq!(run.outcome.output.len(), 31, "answers reflect the new data");
         assert_ne!(prepared.plan().fingerprint, old_fingerprint, "re-planned");
@@ -225,9 +189,7 @@ mod tests {
         let a = s.prepare("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
         let b = s.prepare("P(u, v, w) :- R(u, v), S(v, w)").unwrap();
         assert_eq!(a.signature(), b.signature());
-        e.update(|db| {
-            db.relation_mut("R").unwrap().push(Tuple::from([500, 501]));
-        });
+        e.apply(crate::Delta::insert("R", vec![vec![500, 501]])).unwrap();
         let misses_before = e.cache_stats().misses;
         assert!(!a.run().unwrap().cache_hit, "first re-plan is fresh work");
         assert!(b.run().unwrap().cache_hit, "second rides the shared cache");

@@ -11,11 +11,12 @@
 
 use crate::backend::ExecBackend;
 use crate::engine::{Engine, EngineError, EngineRun};
-use crate::executor::run_plan_on_observed;
+use crate::executor::run_plan_on;
 use crate::obs::EngineObs;
 use crate::parser::parse_query;
 use crate::planner::Plan;
 use crate::prepared::PreparedQuery;
+use crate::snapshot::Snapshot;
 use pq_obs::{Phase, QueryTrace};
 use std::time::Duration;
 
@@ -86,7 +87,7 @@ impl Session {
     pub fn plan(&self, text: &str) -> Result<(Plan, bool), EngineError> {
         let parsed = parse_query(text)?;
         let snapshot = self.engine.snapshot();
-        self.engine.plan_parsed(&snapshot, &parsed, self.p)
+        self.engine.plan_parsed(&snapshot, &parsed, self.p, None)
     }
 
     /// Parse and plan a query, returning the human-readable explanation —
@@ -125,60 +126,65 @@ impl Session {
     /// slow-query log from. The trace is recorded into the engine's
     /// metrics whether the query succeeds or fails.
     pub fn run_traced(&self, text: &str) -> Result<(EngineRun, QueryTrace), EngineError> {
-        let mut trace = QueryTrace::start();
-        trace.backend = Some(self.backend.describe());
-        let result = self.run_inner(text, &mut trace);
-        match result {
-            Ok(run) => {
-                EngineObs::stamp_run(&mut trace, &run);
-                stamp_rounds(&mut trace, &run);
-                trace.finish();
-                self.engine.obs().record_trace(&trace, true);
-                Ok((run, trace))
-            }
-            Err(error) => {
-                trace.finish();
-                self.engine.obs().record_trace(&trace, false);
-                Err(error)
-            }
-        }
-    }
-
-    fn run_inner(&self, text: &str, trace: &mut QueryTrace) -> Result<EngineRun, EngineError> {
-        let parsed = trace.time(Phase::Parse, || parse_query(text))?;
-        let snapshot = self.engine.snapshot();
-        let (plan, cache_hit) =
+        traced_run(&self.engine, &self.backend, self.seed, |snapshot, trace| {
+            let parsed = trace.time(Phase::Parse, || parse_query(text))?;
             self.engine
-                .plan_parsed_traced(&snapshot, &parsed, self.p, Some(trace))?;
-        let registry = self.engine.metrics();
-        let observe_cluster = registry.is_enabled().then_some(&registry);
-        let pool = self.engine.pool();
-        trace.parallelism = Some(pool.threads() as u64);
-        let outcome = trace.time(Phase::Execute, || {
-            pool.install(|| {
-                run_plan_on_observed(&plan, &snapshot, self.seed, &self.backend, observe_cluster)
-            })
-        })?;
-        Ok(EngineRun {
-            plan,
-            cache_hit,
-            outcome,
+                .plan_parsed(snapshot, &parsed, self.p, Some(trace))
         })
     }
 
     /// Parse and plan once, returning a reusable [`PreparedQuery`] bound to
     /// this session's budget and seed. The handle re-plans automatically
-    /// (at most once per snapshot change) when [`Engine::update`] installs
+    /// (at most once per snapshot change) when [`Engine::apply`] installs
     /// new data.
     pub fn prepare(&self, text: &str) -> Result<PreparedQuery, EngineError> {
         PreparedQuery::new(self, text)
     }
 }
 
+/// The run loop behind [`Session::run_traced`] and
+/// [`PreparedQuery::run`]: start the lifecycle trace, let `plan` produce
+/// the plan (and its cache-hit flag) against the current snapshot —
+/// recording its own phases on the trace — then execute it on `backend`
+/// inside the engine's executor pool, stamp the outcome labels and rounds,
+/// and record the trace into the engine's metrics whether the query
+/// succeeded or failed.
+pub(crate) fn traced_run(
+    engine: &Engine,
+    backend: &ExecBackend,
+    seed: u64,
+    plan: impl FnOnce(&Snapshot, &mut QueryTrace) -> Result<(Plan, bool), EngineError>,
+) -> Result<(EngineRun, QueryTrace), EngineError> {
+    let mut trace = QueryTrace::start();
+    trace.backend = Some(backend.describe());
+    let snapshot = engine.snapshot();
+    let result = plan(&snapshot, &mut trace).and_then(|(plan, cache_hit)| {
+        let registry = engine.metrics();
+        let observe_cluster = registry.is_enabled().then_some(&registry);
+        let pool = engine.pool();
+        trace.parallelism = Some(pool.threads() as u64);
+        let outcome = trace.time(Phase::Execute, || {
+            pool.install(|| run_plan_on(&plan, &snapshot, seed, backend, observe_cluster))
+        })?;
+        Ok(EngineRun {
+            plan,
+            cache_hit,
+            outcome,
+        })
+    });
+    if let Ok(run) = &result {
+        EngineObs::stamp_run(&mut trace, run);
+        stamp_rounds(&mut trace, run);
+    }
+    trace.finish();
+    engine.obs().record_trace(&trace, result.is_ok());
+    result.map(|run| (run, trace))
+}
+
 /// Add one trace span per communication round from the run's metrics —
 /// the cluster measures per-round wall time; the simulator's rounds are
 /// part of the execute span and carry no separate wall clock.
-pub(crate) fn stamp_rounds(trace: &mut QueryTrace, run: &EngineRun) {
+fn stamp_rounds(trace: &mut QueryTrace, run: &EngineRun) {
     if !run.outcome.metrics.is_measured() {
         return;
     }
@@ -193,6 +199,7 @@ pub(crate) fn stamp_rounds(trace: &mut QueryTrace, run: &EngineRun) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::PlanError;
     use pq_relation::{Database, Relation, Schema};
 
     fn engine() -> Engine {
@@ -232,6 +239,25 @@ mod tests {
         let per_p = e.cache_stats().per_p;
         assert_eq!(per_p.get(&4), Some(&1));
         assert_eq!(per_p.get(&8), Some(&1));
+    }
+
+    #[test]
+    fn a_server_budget_above_the_cap_fails_the_query_not_the_session() {
+        let e = engine();
+        let mut session = e.session();
+        let text = "Q(x, y, z) :- R(x, y), S(y, z)";
+        session.set_servers(1_000_000_000_000);
+        let err = session.run(text).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Plan(PlanError::TooManyServers {
+                p: 1_000_000_000_000
+            })
+        );
+        assert!(session.explain(text).is_err());
+        // The session (and the engine) keep answering at a sane budget.
+        session.set_servers(8);
+        assert_eq!(session.run(text).unwrap().outcome.output.len(), 40);
     }
 
     #[test]

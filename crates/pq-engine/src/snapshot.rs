@@ -10,7 +10,7 @@
 //!
 //! Snapshots are immutable and shared behind `Arc`: arbitrarily many
 //! sessions plan and execute against one snapshot concurrently, and a
-//! writer installing a new snapshot (see `Engine::update`) never disturbs
+//! writer installing a new snapshot (see `Engine::apply`) never disturbs
 //! readers still holding the old one.
 
 use pq_relation::{Database, DatabaseStatistics, RelationStatistics};
@@ -33,9 +33,9 @@ impl Snapshot {
     }
 
     /// Freeze a database together with an **already maintained** statistics
-    /// catalogue — the incremental-mutation path (`Engine::apply`,
-    /// `Engine::update`), where recomputing the catalogue from scratch is
-    /// exactly the O(data) cost being avoided.
+    /// catalogue — the incremental-mutation path (`Engine::apply`), where
+    /// recomputing the catalogue from scratch is exactly the O(data) cost
+    /// being avoided.
     ///
     /// The caller guarantees `statistics` describes `database`; in debug
     /// builds this is cross-checked against a fresh computation.

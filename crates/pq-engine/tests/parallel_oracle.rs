@@ -27,14 +27,23 @@ fn database(a: &[(u64, u64)], b: &[(u64, u64)], c: &[(u64, u64)]) -> Database {
     db
 }
 
+/// The answer at pool size `threads`. The random relations repeat rows,
+/// so this also checks that duplicate input rows never duplicate answers
+/// (`canonicalized` would hide them from the comparisons).
 fn run_at(threads: usize, db: Database, query: &str) -> Relation {
     let engine = Engine::new(db, 8).with_threads(threads);
-    engine
+    let output = engine
         .session()
         .run(query)
         .expect("oracle queries are valid")
         .outcome
-        .output
+        .output;
+    assert_eq!(
+        output.len(),
+        output.canonicalized().len(),
+        "duplicate answer rows"
+    );
+    output
 }
 
 proptest! {

@@ -217,29 +217,49 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = u16::try_from(s.len()).expect("protocol strings are short");
-    put_u16(out, len);
+/// A `u16` length prefix for `what`, or the `InvalidInput` error a frame
+/// that cannot carry it fails with.
+fn u16_len(len: usize, what: &str) -> std::io::Result<u16> {
+    u16::try_from(len).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "{what} of length {len} exceeds the protocol's {} limit",
+                u16::MAX
+            ),
+        )
+    })
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) -> std::io::Result<()> {
+    put_u16(out, u16_len(s.len(), "string")?);
     out.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
-fn put_str_list(out: &mut Vec<u8>, list: &[String]) {
-    let len = u16::try_from(list.len()).expect("protocol lists are short");
-    put_u16(out, len);
+fn put_str_list(out: &mut Vec<u8>, list: &[String]) -> std::io::Result<()> {
+    put_u16(out, u16_len(list.len(), "list")?);
     for s in list {
-        put_str(out, s);
+        put_str(out, s)?;
     }
+    Ok(())
 }
 
-fn put_relation(out: &mut Vec<u8>, relation: &Relation) {
-    put_str(out, relation.name());
-    put_str_list(out, relation.schema().attributes());
+fn put_relation(out: &mut Vec<u8>, relation: &Relation) -> std::io::Result<()> {
+    put_str(out, relation.name())?;
+    put_str_list(out, relation.schema().attributes())?;
     put_u64(out, relation.len() as u64);
     relation.write_rows_le(out);
+    Ok(())
 }
 
 /// Serialise `frame` to `writer`. Returns the number of bytes written
 /// (header included) so both ends can account real wire traffic.
+///
+/// # Errors
+/// `InvalidInput` when a string or list is longer than its `u16` length
+/// prefix or the payload exceeds [`MAX_FRAME_LEN`] — nothing is written
+/// then, so the connection stays usable; otherwise the writer's I/O error.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u64> {
     let mut payload = Vec::new();
     match frame {
@@ -254,7 +274,7 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u6
         }
         Frame::Fragment { round, relation } => {
             put_u64(&mut payload, *round);
-            put_relation(&mut payload, relation);
+            put_relation(&mut payload, relation)?;
         }
         Frame::Execute {
             round,
@@ -263,12 +283,12 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u6
             atoms,
         } => {
             put_u64(&mut payload, *round);
-            put_str(&mut payload, name);
-            put_str_list(&mut payload, output_vars);
-            put_u16(&mut payload, u16::try_from(atoms.len()).expect("few atoms"));
+            put_str(&mut payload, name)?;
+            put_str_list(&mut payload, output_vars)?;
+            put_u16(&mut payload, u16_len(atoms.len(), "atom list")?);
             for (relation, variables) in atoms {
-                put_str(&mut payload, relation);
-                put_str_list(&mut payload, variables);
+                put_str(&mut payload, relation)?;
+                put_str_list(&mut payload, variables)?;
             }
         }
         Frame::Answer {
@@ -278,18 +298,31 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u6
         } => {
             put_u64(&mut payload, *round);
             put_u64(&mut payload, *bytes_received);
-            put_relation(&mut payload, relation);
+            put_relation(&mut payload, relation)?;
         }
         Frame::Error { message } => {
-            put_str(&mut payload, &message.chars().take(1024).collect::<String>());
+            put_str(
+                &mut payload,
+                &message.chars().take(1024).collect::<String>(),
+            )?;
         }
         Frame::Shutdown => {}
         Frame::Ping { nonce } | Frame::Pong { nonce } => {
             put_u64(&mut payload, *nonce);
         }
     }
-    let len = u32::try_from(payload.len()).expect("payload under 4 GiB");
-    assert!(len <= MAX_FRAME_LEN, "frame payload exceeds the protocol cap");
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_LEN)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte protocol cap",
+                    payload.len()
+                ),
+            )
+        })?;
     writer.write_all(&MAGIC)?;
     writer.write_all(&[frame.type_byte()])?;
     writer.write_all(&len.to_le_bytes())?;
@@ -511,6 +544,29 @@ mod tests {
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<u64>>) -> Relation {
         Relation::from_rows(Schema::from_strs(name, attrs), rows)
+    }
+
+    #[test]
+    fn oversize_strings_and_lists_are_invalid_input_and_write_nothing() {
+        let long = "v".repeat(70_000);
+        let frames = [
+            Frame::Fragment {
+                round: 1,
+                relation: rel("R", &[long.as_str(), "b"], vec![vec![1, 2]]),
+            },
+            Frame::Execute {
+                round: 1,
+                name: "Q".into(),
+                output_vars: vec!["x".into(); 70_000],
+                atoms: vec![],
+            },
+        ];
+        for frame in frames {
+            let mut bytes = Vec::new();
+            let err = write_frame(&mut bytes, &frame).expect_err("oversize");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert!(bytes.is_empty(), "a rejected frame leaves the stream clean");
+        }
     }
 
     #[test]

@@ -52,7 +52,4 @@ pub use coordinator::{
 };
 pub use pool::{PoolStats, WorkerPool};
 pub use retry::{Breaker, BreakerState, Clock, RetryPolicy, SystemClock, TestClock};
-pub use worker::{
-    serve_worker, serve_worker_observed, serve_worker_pooled, serve_worker_with, LocalWorkers,
-    WorkerLimits, WorkerObs,
-};
+pub use worker::{serve_worker, LocalWorkers, WorkerLimits, WorkerObs};

@@ -247,10 +247,10 @@ impl RelationStatistics {
 ///
 /// Per-relation statistics sit behind [`Arc`], mirroring the per-relation
 /// copy-on-write of [`Database`]: cloning a catalogue is shallow, and the
-/// incremental paths ([`DatabaseStatistics::apply_inserts`],
-/// [`DatabaseStatistics::compute_reusing`]) rebuild only the touched
-/// relations' entries while untouched ones keep being shared — which is
-/// also how tests *assert* that nothing was recomputed (`Arc::ptr_eq`).
+/// incremental path ([`DatabaseStatistics::apply_inserts`]) rebuilds only
+/// the touched relations' entries while untouched ones keep being shared —
+/// which is also how tests *assert* that nothing was recomputed
+/// (`Arc::ptr_eq`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatabaseStatistics {
     /// Per-relation statistics, keyed by relation name.
@@ -273,44 +273,6 @@ impl DatabaseStatistics {
                     r.name().to_string(),
                     Arc::new(RelationStatistics::compute(r, bpv)),
                 )
-            })
-            .collect();
-        let domain_size = database.domain_size();
-        DatabaseStatistics {
-            fingerprint: combined_fingerprint(domain_size, &relations),
-            relations,
-            domain_size,
-        }
-    }
-
-    /// Build the catalogue for `database`, **reusing** the statistics of
-    /// every relation whose shared row buffer is pointer-equal to the one
-    /// `previous` was computed from (see [`Database::relation_arc`]) — the
-    /// copy-on-write mutation path: after an edit that touched one relation
-    /// of a cloned database, only that relation is re-scanned.
-    pub fn compute_reusing(
-        database: &Database,
-        previous_database: &Database,
-        previous: &DatabaseStatistics,
-    ) -> Self {
-        if database.domain_size() != previous_database.domain_size() {
-            // A different domain changes the bits-per-value accounting of
-            // every relation; nothing is reusable.
-            return DatabaseStatistics::compute(database);
-        }
-        let bpv = database.bits_per_value();
-        let relations: BTreeMap<String, Arc<RelationStatistics>> = database
-            .relation_arcs()
-            .map(|(name, rows)| {
-                let reusable = previous_database
-                    .relation_arc(name)
-                    .filter(|old| Arc::ptr_eq(old, rows))
-                    .and_then(|_| previous.relations.get(name));
-                let stats = match reusable {
-                    Some(shared) => Arc::clone(shared),
-                    None => Arc::new(RelationStatistics::compute(rows, bpv)),
-                };
-                (name.to_string(), stats)
             })
             .collect();
         let domain_size = database.domain_size();
@@ -623,24 +585,6 @@ mod tests {
         assert!(
             Arc::ptr_eq(&stats.relations["S"], &untouched_before),
             "untouched relation's statistics stay shared, not recomputed"
-        );
-    }
-
-    #[test]
-    fn compute_reusing_shares_statistics_of_pointer_equal_relations() {
-        let before = two_relation_db();
-        let previous = DatabaseStatistics::compute(&before);
-        let mut after = before.clone();
-        after.relation_mut("R").unwrap().push(Tuple::from([7, 999]));
-        let next = DatabaseStatistics::compute_reusing(&after, &before, &previous);
-        assert_eq!(next, DatabaseStatistics::compute(&after));
-        assert!(
-            Arc::ptr_eq(&next.relations["S"], &previous.relations["S"]),
-            "S's rows are pointer-equal, so its statistics are reused"
-        );
-        assert!(
-            !Arc::ptr_eq(&next.relations["R"], &previous.relations["R"]),
-            "R changed and was re-analysed"
         );
     }
 

@@ -13,9 +13,10 @@
 use pq_mpc::net::{
     read_frame, serve_worker, shutdown_workers, AtomSpec, BreakerState, Clock, ClusterConfig,
     ClusterError, Coordinator, Frame, LocalWorkers, RetryPolicy, RoundProgram, TestClock,
-    WorkerPool, MAGIC,
+    WorkerLimits, WorkerObs, WorkerPool, MAGIC,
 };
 use pq_mpc::Message;
+use pq_obs::{LogLevel, Logger, MetricsRegistry};
 use pq_relation::{Relation, Schema};
 use proptest::prelude::*;
 use std::io::{BufReader, Read, Write};
@@ -122,6 +123,17 @@ fn round_program() -> RoundProgram {
             },
         ],
     }
+}
+
+/// Run the real worker loop on `listener` until it is shut down, counting
+/// into a throwaway registry on the process-wide executor pool.
+fn serve_real_worker(listener: &TcpListener) {
+    let obs = WorkerObs::new(
+        &MetricsRegistry::new(),
+        Logger::new("pq-mpc-worker", LogLevel::Warn),
+    );
+    serve_worker(listener, &obs, WorkerLimits::default(), &pq_exec::global())
+        .expect("worker serves");
 }
 
 /// Drive one round against a single faulty worker and return the typed
@@ -335,7 +347,7 @@ fn a_flapping_cluster_opens_the_breaker_then_recovers_through_half_open() {
         .map(|address| {
             let listener = TcpListener::bind(address.as_str()).expect("rebind");
             std::thread::spawn(move || {
-                serve_worker(&listener).expect("worker serves");
+                serve_real_worker(&listener);
             })
         })
         .collect();
@@ -386,7 +398,7 @@ proptest! {
                 let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
                 addresses.push(listener.local_addr().expect("addr").to_string());
                 healthy_handles.push(std::thread::spawn(move || {
-                    serve_worker(&listener).expect("worker serves");
+                    serve_real_worker(&listener);
                 }));
             }
         }

@@ -13,7 +13,7 @@
 //! value count at 64 bits plus bounded framing overhead.
 
 use pq_bench::matching_database_for_query;
-use pq_engine::{Engine, ExecBackend, Strategy};
+use pq_engine::{Delta, Engine, EngineError, ExecBackend, Strategy};
 use pq_mpc::net::{ClusterConfig, LocalWorkers};
 use pq_query::{evaluate_sequential, ConjunctiveQuery};
 use pq_relation::{Database, Relation, Schema, Tuple};
@@ -80,6 +80,14 @@ fn assert_cluster_matches_simulator(
         .run(&query.to_string())
         .expect("cluster run");
 
+    // `canonicalized()` removes duplicates, so check there are none first.
+    for output in [&run.outcome.output, &sim.outcome.output] {
+        assert_eq!(
+            output.len(),
+            output.canonicalized().len(),
+            "duplicate answer rows"
+        );
+    }
     assert_eq!(
         run.outcome.output.canonicalized(),
         oracle,
@@ -215,6 +223,49 @@ fn an_empty_database_yields_an_empty_answer_without_hanging() {
     assert_eq!(run.outcome.output.len(), 0);
     // No fragments crossed the wire, but every worker still received its
     // Execute frame — the round is measured even when the data is empty.
+    assert!(run.outcome.metrics.is_measured());
+    cluster.shutdown();
+}
+
+#[test]
+fn duplicate_input_rows_never_duplicate_cluster_answers() {
+    // Every row of the first 20 of each relation stored twice: the
+    // coordinator's merge must still return each answer once.
+    let query = ConjunctiveQuery::triangle();
+    let mut db = database_for(&query, 60, 13, false);
+    for atom in query.atoms() {
+        let relation = db.relation_mut(atom.relation()).expect("relation exists");
+        for i in 0..20 {
+            let row = relation.row(i).to_vec();
+            relation.push_row(&row);
+        }
+    }
+    assert_cluster_matches_simulator(&query, &db, 8, 3);
+}
+
+#[test]
+fn an_unencodable_identifier_fails_one_run_and_the_pool_keeps_serving() {
+    // A 70 000-byte variable name does not fit the codec's u16 string
+    // length: the run must fail with a typed cluster error (not panic
+    // while holding the pool's run lock), and the next run on the same
+    // pool must succeed.
+    let query = ConjunctiveQuery::triangle();
+    let db = database_for(&query, 60, 17, false);
+    let cluster = LocalWorkers::spawn(2).expect("spawn local workers");
+    let config = ClusterConfig::new(cluster.addresses().to_vec());
+    let engine = Engine::new(db.clone(), 4).with_backend(ExecBackend::cluster(config));
+    let session = engine.session();
+    let long = "x".repeat(70_000);
+    let text = format!("Q({long}, y, z) :- S1({long}, y), S2(y, z), S3(z, {long})");
+    let err = session.run(&text).expect_err("the identifier cannot be encoded");
+    assert!(matches!(err, EngineError::Cluster(_)), "{err}");
+    let delta = Delta::insert("S1", vec![vec![1, 2]]).and_insert("S2", vec![vec![2, 3]]);
+    let snapshot = engine.apply(delta.and_insert("S3", vec![vec![3, 1]])).unwrap();
+    let run = session.run(&query.to_string()).expect("the next run succeeds");
+    assert_eq!(
+        run.outcome.output.canonicalized(),
+        evaluate_sequential(&query, snapshot.database()).canonicalized()
+    );
     assert!(run.outcome.metrics.is_measured());
     cluster.shutdown();
 }

